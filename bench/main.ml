@@ -1040,7 +1040,9 @@ let e18 () =
             in
             let cut () =
               let f =
-                Telemetry.Hub.cut hub ~eng ~alarms:(Engine.alarms eng)
+                Telemetry.Hub.cut hub
+                  ~counts:(Telemetry.Hub.counts_of_engine eng)
+                  ~alarms:(Engine.alarms eng)
                   ~conns:1 ~subscribers:1 ~now:0.0
               in
               frames := f :: !frames;

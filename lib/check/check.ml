@@ -492,6 +492,71 @@ let meta_of backend sc objects =
           objects;
     }
 
+(* The schedule both serving harnesses share.  Each turn submits the
+   next program when the host went quiescent or a 1-in-3 coin says so
+   (the coin is drawn only when not quiescent), may mark the new
+   submission for a client drop [1..8] turns later, takes one [step],
+   and kills the drops that came due ([kill] says whether the kill
+   counted).  [stop] sees the step's result and whether every program
+   has been submitted.  Returns the counted drops. *)
+let drive ~rng ~drop_prob ~submit ~step ~kill ?(after_turn = ignore) ~stop
+    progs =
+  let pending = ref progs in
+  let drops = ref [] in
+  let dropped = ref 0 in
+  let last = ref `Progress in
+  let continue = ref true in
+  while !continue do
+    (match !pending with
+    | prog :: rest when !last = `Quiescent || Rng.int rng 3 = 0 ->
+        pending := rest;
+        let id = submit prog in
+        if drop_prob > 0.0 && Rng.float rng 1.0 < drop_prob then
+          drops := (id, ref (1 + Rng.int rng 8)) :: !drops
+    | _ -> ());
+    last := step ();
+    drops :=
+      List.filter
+        (fun (id, left) ->
+          decr left;
+          if !left <= 0 then begin
+            if kill id then incr dropped;
+            false
+          end
+          else true)
+        !drops;
+    after_turn ();
+    if stop !last ~all_submitted:(!pending = []) then continue := false
+  done;
+  !dropped
+
+(* Judge a served run: the four oracles, then — for replication — the
+   one-copy claim, made only when [whole] says the run's quorums
+   completed (the caller folds in its own abort sources) and no
+   deadlock or injected abort cut one short. *)
+let served_failure backend ~plan ~whole schema (r : Runtime.result) forest =
+  if r.Runtime.stats.truncated then None
+  else
+    let judged_as = match backend with Replication -> Undo | b -> b in
+    match judge judged_as schema r forest with
+    | Some f -> Some f
+    | None -> (
+        match plan with
+        | Some plan
+          when whole
+               && r.Runtime.stats.deadlock_aborts = 0
+               && r.Runtime.stats.injected_aborts = 0 -> (
+            match
+              Nt_replication.Replication.check_one_copy plan r.Runtime.trace
+            with
+            | Ok () -> None
+            | Error v ->
+                Some
+                  (One_copy
+                     (Format.asprintf "%a"
+                        Nt_replication.Replication.pp_violation v)))
+        | _ -> None)
+
 type recorded = {
   rc_wal : string;
   rc_offsets : int list;
@@ -514,20 +579,11 @@ let record ?(obs = Obs.null) ?(max_steps = 200_000) ?(drop_prob = 0.0)
      engine value exists — hence the forward reference. *)
   let eng_ref = ref None in
   let on_top_complete txn oc =
-    match !eng_ref with
-    | None -> ()
-    | Some eng ->
-        let outcome =
-          match (oc, Nt_net.Engine.state eng txn) with
-          | `Committed, Nt_net.Engine.Committed v ->
-              Nt_net.Wal.Committed (Value.to_string v)
-          | `Aborted, Nt_net.Engine.Aborted veto ->
-              Nt_net.Wal.Aborted
-                (Option.map (fun v -> v.Nt_net.Admission.witness) veto)
-          | `Committed, _ -> Nt_net.Wal.Committed "?"
-          | `Aborted, _ -> Nt_net.Wal.Aborted None
-        in
-        Nt_net.Wal.Writer.note_outcome w ~txn outcome
+    Option.iter
+      (fun eng ->
+        Nt_net.Wal.Writer.note_outcome w ~txn
+          (Nt_net.Wal.outcome_of_engine eng txn oc))
+      !eng_ref
   in
   let eng =
     Nt_net.Engine.create ~policy:sc.policy ~inform_policy:sc.inform_policy
@@ -536,7 +592,6 @@ let record ?(obs = Obs.null) ?(max_steps = 200_000) ?(drop_prob = 0.0)
   in
   eng_ref := Some eng;
   let rng = Rng.create seed in
-  let pending = ref progs in
   let pending_steps = ref 0 in
   (* Cut before every Submit/Kill record: the covering [Steps] record,
      then any outcomes those steps produced — so every intact log
@@ -564,77 +619,54 @@ let record ?(obs = Obs.null) ?(max_steps = 200_000) ?(drop_prob = 0.0)
           | Ok s -> s
           | Error e -> invalid_arg ("Check.record: scan of own log: " ^ e)
         in
-        let g =
-          Monitor.graph (Nt_net.Admission.monitor (Nt_net.Engine.admission eng))
-        in
         snapshot :=
           Some
             (Nt_net.Wal.encode_snapshot
-               {
-                 Nt_net.Wal.sn_next_seq = Nt_net.Wal.Writer.next_seq w;
-                 sn_meta = meta_of backend sc objects;
-                 sn_events = Nt_net.Wal.compact scanned.Nt_net.Wal.sc_records;
-                 sn_sg = Nt_net.Wal.sg_state_of_graph g;
-                 sn_counts =
-                   Nt_net.Wal.Counts
-                     {
-                       submitted = Nt_net.Engine.submitted eng;
-                       committed = Nt_net.Engine.committed_top eng;
-                       aborted = Nt_net.Engine.aborted_top eng;
-                       vetoed = Nt_net.Engine.vetoed eng;
-                     };
-               })
+               (Nt_net.Wal.snapshot_of_engine eng
+                  ~next_seq:(Nt_net.Wal.Writer.next_seq w)
+                  ~meta:(meta_of backend sc objects)
+                  ~events:(Nt_net.Wal.compact scanned.Nt_net.Wal.sc_records)))
     | _ -> ()
   in
-  let drops = ref [] in
-  let dropped = ref 0 in
-  let last = ref `Progress in
-  let continue = ref true in
-  while !continue do
-    (match !pending with
-    | prog :: rest when !last = `Quiescent || Rng.int rng 3 = 0 ->
-        pending := rest;
-        cut ();
-        let r =
-          Nt_net.Wal.Submit
-            {
-              req = None;
-              client = "check";
-              program = Program_io.program_to_string prog;
-            }
-        in
-        Nt_net.Wal.Closure.push closure r;
-        Nt_net.Wal.Writer.append w r;
-        (match Nt_net.Engine.submit eng prog with
-        | Ok txn ->
-            if drop_prob > 0.0 && Rng.float rng 1.0 < drop_prob then
-              drops := (txn, ref (1 + Rng.int rng 8)) :: !drops
-        | Error e ->
-            invalid_arg ("Check.serve: generated program rejected: " ^ e))
-    | _ -> ());
-    last := Nt_net.Engine.step eng;
+  let submit prog =
+    cut ();
+    let r =
+      Nt_net.Wal.Submit
+        {
+          req = None;
+          client = "check";
+          program = Program_io.program_to_string prog;
+        }
+    in
+    Nt_net.Wal.Closure.push closure r;
+    Nt_net.Wal.Writer.append w r;
+    match Nt_net.Engine.submit eng prog with
+    | Ok txn -> txn
+    | Error e -> invalid_arg ("Check.serve: generated program rejected: " ^ e)
+  in
+  let step () =
+    let st = Nt_net.Engine.step eng in
     incr pending_steps;
-    drops :=
-      List.filter
-        (fun (txn, left) ->
-          decr left;
-          if !left <= 0 then begin
-            cut ();
-            Nt_net.Wal.Closure.push closure (Nt_net.Wal.Kill { txn });
-            Nt_net.Wal.Writer.append w (Nt_net.Wal.Kill { txn });
-            (match Nt_net.Engine.kill eng txn with
-            | `Aborted | `Doomed -> incr dropped
-            | `Already_complete | `Unknown -> ());
-            false
-          end
-          else true)
-        !drops;
-    maybe_snapshot ();
-    match !last with
-    | `Truncated -> continue := false
-    | `Quiescent -> if !pending = [] then continue := false
-    | `Progress -> ()
-  done;
+    st
+  in
+  let kill txn =
+    cut ();
+    Nt_net.Wal.Closure.push closure (Nt_net.Wal.Kill { txn });
+    Nt_net.Wal.Writer.append w (Nt_net.Wal.Kill { txn });
+    match Nt_net.Engine.kill eng txn with
+    | `Aborted | `Doomed -> true
+    | `Already_complete | `Unknown -> false
+  in
+  let stop st ~all_submitted =
+    match st with
+    | `Truncated -> true
+    | `Quiescent -> all_submitted
+    | `Progress -> false
+  in
+  let dropped =
+    drive ~rng ~drop_prob ~submit ~step ~kill ~after_turn:maybe_snapshot ~stop
+      progs
+  in
   cut ();
   Nt_net.Wal.Writer.flush w;
   let r = Nt_net.Engine.finish eng in
@@ -642,32 +674,13 @@ let record ?(obs = Obs.null) ?(max_steps = 200_000) ?(drop_prob = 0.0)
   let schema = Nt_net.Engine.schema eng in
   let truncated = r.Runtime.stats.truncated in
   let failure =
-    if truncated then None
-    else
-      let judged_as = match backend with Replication -> Undo | b -> b in
-      match judge judged_as schema r forest with
-      | Some f -> Some f
-      | None -> (
-          match plan with
-          | Some plan
-            when r.Runtime.stats.deadlock_aborts = 0
-                 && r.Runtime.stats.injected_aborts = 0
-                 && Nt_net.Engine.orphan_aborts eng = 0
-                 && Nt_net.Engine.vetoed eng = 0 -> (
-              (* As in [run_scenario]: the one-copy claim is only made
-                 for runs whose quorums completed, so drops and vetoes
-                 (which abort replica subtransactions mid-quorum) judge
-                 on serializability alone. *)
-              match
-                Nt_replication.Replication.check_one_copy plan r.Runtime.trace
-              with
-              | Ok () -> None
-              | Error v ->
-                  Some
-                    (One_copy
-                       (Format.asprintf "%a"
-                          Nt_replication.Replication.pp_violation v)))
-          | _ -> None)
+    (* As in [run_scenario]: drops and vetoes abort replica
+       subtransactions mid-quorum, so such runs judge on
+       serializability alone. *)
+    served_failure backend ~plan
+      ~whole:
+        (Nt_net.Engine.orphan_aborts eng = 0 && Nt_net.Engine.vetoed eng = 0)
+      schema r forest
   in
   let report =
     {
@@ -676,7 +689,7 @@ let record ?(obs = Obs.null) ?(max_steps = 200_000) ?(drop_prob = 0.0)
       s_committed = r.Runtime.committed_top;
       s_aborted = r.Runtime.aborted_top;
       s_vetoed = Nt_net.Engine.vetoed eng;
-      s_dropped = !dropped;
+      s_dropped = dropped;
       s_orphans = Nt_net.Engine.orphan_aborts eng;
       s_alarms = Nt_net.Engine.alarms eng;
       s_cycle_alarms =
@@ -730,42 +743,24 @@ let serve_sharded ?(max_steps = 200_000) ?(drop_prob = 0.0) ?(gating = true)
   in
   let rt = Nt_shard.Cluster.router cl in
   let rng = Rng.create seed in
-  let pending = ref progs in
-  let drops = ref [] in
-  let dropped = ref 0 in
-  let last = ref `Progress in
-  let continue = ref true in
-  while !continue do
-    (match !pending with
-    | prog :: rest when !last = `Quiescent || Rng.int rng 3 = 0 ->
-        pending := rest;
-        (match Nt_shard.Cluster.submit cl prog with
-        | Ok g ->
-            if drop_prob > 0.0 && Rng.float rng 1.0 < drop_prob then
-              drops := (g, ref (1 + Rng.int rng 8)) :: !drops
-        | Error e ->
-            invalid_arg
-              ("Check.serve_sharded: generated program rejected: " ^ e))
-    | _ -> ());
-    last := Nt_shard.Cluster.step_shard cl (Rng.int rng shards);
-    drops :=
-      List.filter
-        (fun (g, left) ->
-          decr left;
-          if !left <= 0 then begin
-            Nt_shard.Cluster.kill cl g;
-            incr dropped;
-            false
-          end
-          else true)
-        !drops;
-    if Nt_shard.Cluster.truncated cl then continue := false
-    else if
-      !pending = []
-      && Nt_shard.Cluster.quiescent cl
-      && Nt_shard.Router.pending rt = []
-    then continue := false
-  done;
+  let submit prog =
+    match Nt_shard.Cluster.submit cl prog with
+    | Ok g -> g
+    | Error e ->
+        invalid_arg ("Check.serve_sharded: generated program rejected: " ^ e)
+  in
+  let step () = Nt_shard.Cluster.step_shard cl (Rng.int rng shards) in
+  let kill g =
+    Nt_shard.Cluster.kill cl g;
+    true
+  in
+  let stop _ ~all_submitted =
+    Nt_shard.Cluster.truncated cl
+    || all_submitted
+       && Nt_shard.Cluster.quiescent cl
+       && Nt_shard.Router.pending rt = 0
+  in
+  let dropped = drive ~rng ~drop_prob ~submit ~step ~kill ~stop progs in
   let r, forest, schema = Nt_shard.Cluster.finish cl in
   let truncated = r.Runtime.stats.truncated in
   let cross = Nt_shard.Router.cross_count rt in
@@ -785,33 +780,13 @@ let serve_sharded ?(max_steps = 200_000) ?(drop_prob = 0.0) ?(gating = true)
           .Monitor.cycle_alarms)
   in
   let failure =
-    if truncated then None
-    else
-      let judged_as = match backend with Replication -> Undo | b -> b in
-      match judge judged_as schema r forest with
-      | Some f -> Some f
-      | None -> (
-          match plan with
-          | Some plan
-            when cross = 0
-                 && r.Runtime.stats.deadlock_aborts = 0
-                 && r.Runtime.stats.injected_aborts = 0
-                 && orphans = 0
-                 && Nt_shard.Cluster.vetoed cl = 0 -> (
-              (* One-copy is only claimed when every replicated program
-                 stayed whole on one shard: a split program's merged
-                 forest node is a [Par] of pieces, so the plan's
-                 position map no longer describes it. *)
-              match
-                Nt_replication.Replication.check_one_copy plan r.Runtime.trace
-              with
-              | Ok () -> None
-              | Error v ->
-                  Some
-                    (One_copy
-                       (Format.asprintf "%a"
-                          Nt_replication.Replication.pp_violation v)))
-          | _ -> None)
+    (* One-copy is only claimed when every replicated program stayed
+       whole on one shard: a split program's merged forest node is a
+       [Par] of pieces, so the plan's position map no longer describes
+       it. *)
+    served_failure backend ~plan
+      ~whole:(cross = 0 && orphans = 0 && Nt_shard.Cluster.vetoed cl = 0)
+      schema r forest
   in
   let sp = Nt_shard.Cluster.spine cl in
   {
@@ -822,7 +797,7 @@ let serve_sharded ?(max_steps = 200_000) ?(drop_prob = 0.0) ?(gating = true)
         s_committed = r.Runtime.committed_top;
         s_aborted = r.Runtime.aborted_top;
         s_vetoed = Nt_shard.Cluster.vetoed cl;
-        s_dropped = !dropped;
+        s_dropped = dropped;
         s_orphans = orphans;
         s_alarms = alarms;
         s_cycle_alarms = cycle_alarms;
@@ -915,16 +890,8 @@ let recover_snapshot ?(max_steps = 200_000) ?(admission = true) ~expect_meta
   in
   let* () = Nt_net.Wal.check_sg_state sn.Nt_net.Wal.sn_sg (g ()) in
   let* () =
-    match sn.Nt_net.Wal.sn_counts with
-    | Nt_net.Wal.Counts { submitted; committed; aborted; vetoed } ->
-        if
-          submitted = Nt_net.Engine.submitted eng
-          && committed = Nt_net.Engine.committed_top eng
-          && aborted = Nt_net.Engine.aborted_top eng
-          && vetoed = Nt_net.Engine.vetoed eng
-        then Ok ()
-        else Error "snapshot counters not reproduced by replay"
-    | _ -> Error "snapshot without a counts record"
+    if sn.Nt_net.Wal.sn_counts = Nt_net.Wal.counts_of_engine eng then Ok ()
+    else Error "snapshot counters not reproduced by replay"
   in
   let* scanned = Nt_net.Wal.scan ~magic:Nt_net.Wal.wal_magic img in
   let* rp_tail =

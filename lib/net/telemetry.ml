@@ -116,10 +116,7 @@ module Hub = struct
     |> List.filteri (fun i _ -> i < t.top_k)
 
   (* The cumulative engine readings a frame differences against its
-     previous cut.  A single-engine server builds them with
-     [counts_of_engine]; a sharded one sums per-shard snapshots with
-     [merge] — the hub itself never touches an engine, so it cannot
-     race a worker domain. *)
+     previous cut (see the interface for who builds them). *)
   type counts = {
     n_submitted : int;
     n_committed : int;
@@ -183,8 +180,7 @@ module Hub = struct
         })
       zero_counts cs
 
-  let peek_counts ?(per_shard = []) t ~counts:c ~alarms ~conns ~subscribers
-      ~now =
+  let peek ?(per_shard = []) t ~counts:c ~alarms ~conns ~subscribers ~now =
     t.seq <- t.seq + 1;
     let delta, _ = Snapshot.delta_live ~at:now ~prev:t.prev_snap t.registry in
     let w_requests =
@@ -229,10 +225,8 @@ module Hub = struct
       per_shard;
     }
 
-  let cut_counts ?per_shard t ~counts:c ~alarms ~conns ~subscribers ~now =
-    let frame =
-      peek_counts ?per_shard t ~counts:c ~alarms ~conns ~subscribers ~now
-    in
+  let cut ?per_shard t ~counts:c ~alarms ~conns ~subscribers ~now =
+    let frame = peek ?per_shard t ~counts:c ~alarms ~conns ~subscribers ~now in
     t.p_submitted <- c.n_submitted;
     t.p_committed <- c.n_committed;
     t.p_aborted <- c.n_aborted;
@@ -245,14 +239,6 @@ module Hub = struct
     t.t_cut <- now;
     Window.tick t.win;
     frame
-
-  let peek t ~eng ~alarms ~conns ~subscribers ~now =
-    peek_counts t ~counts:(counts_of_engine eng) ~alarms ~conns ~subscribers
-      ~now
-
-  let cut t ~eng ~alarms ~conns ~subscribers ~now =
-    cut_counts t ~counts:(counts_of_engine eng) ~alarms ~conns ~subscribers
-      ~now
 end
 
 module Audit = struct

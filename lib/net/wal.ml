@@ -696,3 +696,33 @@ let check_sg_state r g =
   | r ->
       Error
         (Printf.sprintf "expected an sg-state record, got %s" (record_name r))
+
+(* ----- engine readings ----- *)
+
+let outcome_of_engine eng txn completion =
+  match (completion, Engine.state eng txn) with
+  | `Committed, Engine.Committed v -> Committed (Value.to_string v)
+  | `Aborted, Engine.Aborted veto ->
+      Aborted (Option.map (fun v -> v.Admission.witness) veto)
+  | `Committed, _ -> Committed "?"
+  | `Aborted, _ -> Aborted None
+
+let counts_of_engine eng =
+  Counts
+    {
+      submitted = Engine.submitted eng;
+      committed = Engine.committed_top eng;
+      aborted = Engine.aborted_top eng;
+      vetoed = Engine.vetoed eng;
+    }
+
+let snapshot_of_engine eng ~next_seq ~meta ~events =
+  {
+    sn_next_seq = next_seq;
+    sn_meta = meta;
+    sn_events = events;
+    sn_sg =
+      sg_state_of_graph
+        (Nt_sg.Monitor.graph (Admission.monitor (Engine.admission eng)));
+    sn_counts = counts_of_engine eng;
+  }

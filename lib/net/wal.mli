@@ -258,3 +258,21 @@ val check_sg_state :
   record -> Nt_sg.Graph.t -> (unit, string) result
 (** The snapshot's graph must equal the replayed monitor's graph
     (same node set, same edge set). *)
+
+(** {1 Engine readings}
+
+    What a server or harness logs about a live engine. *)
+
+val outcome_of_engine :
+  Engine.t -> Txn_id.t -> [ `Committed | `Aborted ] -> outcome
+(** The audited outcome of a top-level completion; call it from the
+    engine's [on_top_complete] hook, while the veto record is fresh. *)
+
+val counts_of_engine : Engine.t -> record
+(** The engine's [Counts] record. *)
+
+val snapshot_of_engine :
+  Engine.t -> next_seq:int -> meta:record -> events:record list -> snapshot
+(** A snapshot of the engine as it stands: [events] is the compacted
+    replay closure of the covered log, the graph and counters are read
+    from the engine. *)

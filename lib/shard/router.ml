@@ -30,6 +30,7 @@ type t = {
   max_program : int;
   mutable n_local : int;
   mutable n_cross : int;
+  mutable n_pending : int;  (* entries whose outcome has not landed *)
 }
 
 let create ?(max_program = 10_000) part spine =
@@ -43,6 +44,7 @@ let create ?(max_program = 10_000) part spine =
     max_program;
     n_local = 0;
     n_cross = 0;
+    n_pending = 0;
   }
 
 let locked t f =
@@ -93,6 +95,7 @@ let plan t prog =
               Hashtbl.replace t.entries g (Plain { shard = s; outcome = None });
               Hashtbl.replace t.progs g prog;
               t.n_local <- t.n_local + 1;
+              t.n_pending <- t.n_pending + 1;
               (* The merged [T0] requests its children in name order, at
                  dispatch — the engines issue their local counterparts
                  lazily, in whatever order their schedulers reach them,
@@ -121,6 +124,7 @@ let plan t prog =
                    });
               Hashtbl.replace t.progs g (Split.merged (List.map snd pieces));
               t.n_cross <- t.n_cross + 1;
+              t.n_pending <- t.n_pending + 1;
               (* The merged system's [T0] requests the par-of-pieces
                  node at dispatch: stamp its creation before any piece
                  can act, which also anchors the spine's rail — and the
@@ -178,13 +182,18 @@ let synthesize_commit t g values =
 let note_report t ~g ~piece ~seq:_ out =
   locked t (fun () ->
       match (Hashtbl.find_opt t.entries g, piece) with
-      | Some (Plain p), None -> p.outcome <- Some out
+      | Some (Plain p), None ->
+          if Option.is_none p.outcome then t.n_pending <- t.n_pending - 1;
+          p.outcome <- Some out
       | Some (Cross c), Some k ->
           (match out with
           | Shard_engine.Done_committed v -> c.values.(k) <- Some v
           | Shard_engine.Done_aborted _ -> ());
           c.remaining <- c.remaining - 1;
-          if c.remaining = 0 then c.value <- Some (synthesize_commit t g c.values)
+          if c.remaining = 0 then begin
+            c.value <- Some (synthesize_commit t g c.values);
+            t.n_pending <- t.n_pending - 1
+          end
       | _ -> ())
 
 (* A shard refused a routed piece (cannot happen for router-validated
@@ -217,14 +226,7 @@ let submitted t = locked t (fun () -> Hashtbl.length t.entries)
 let cross_count t = locked t (fun () -> t.n_cross)
 let local_count t = locked t (fun () -> t.n_local)
 
-let pending t =
-  locked t (fun () ->
-      Hashtbl.fold
-        (fun g e acc ->
-          match e with
-          | Plain { outcome = None; _ } | Cross { value = None; _ } -> g :: acc
-          | _ -> acc)
-        t.entries [])
+let pending t = locked t (fun () -> t.n_pending)
 
 let counts t =
   locked t (fun () ->

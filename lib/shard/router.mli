@@ -52,7 +52,10 @@ val kill_prefixes : t -> int -> (int * int list) list
 val submitted : t -> int
 val cross_count : t -> int
 val local_count : t -> int
-val pending : t -> int list
+val pending : t -> int
+(** Submissions whose outcome has not landed yet: a counter kept where
+    outcomes land, so reading it costs no walk over the history. *)
+
 val counts : t -> int * int
 (** Merged [(committed, aborted)] top counts. *)
 

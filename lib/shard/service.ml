@@ -96,7 +96,7 @@ let kill t g =
     (Router.kill_prefixes t.rt g)
 
 let result t g = Router.result t.rt g
-let pending t = List.length (Router.pending t.rt)
+let pending t = Router.pending t.rt
 let stats t = Array.map Shard_engine.published t.engines
 let spine t = t.sp
 let router t = t.rt

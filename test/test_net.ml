@@ -444,7 +444,8 @@ let t_hub_frames () =
   let frames = ref [] in
   let cut () =
     frames :=
-      Telemetry.Hub.cut hub ~eng ~alarms:0 ~conns:1 ~subscribers:1 ~now:0.0
+      Telemetry.Hub.cut hub ~counts:(Telemetry.Hub.counts_of_engine eng)
+        ~alarms:0 ~conns:1 ~subscribers:1 ~now:0.0
       :: !frames
   in
   for _ = 1 to 6 do

@@ -294,9 +294,9 @@ let cmd =
       & opt (some string) (Some "ntcheck-failure")
       & info [ "bundle" ] ~docv:"PREFIX"
           ~doc:
-            "Write PREFIX.bundle/.trace/.dot on failure (default \
-             ntcheck-failure; pass an empty value to a different PREFIX to \
-             relocate).")
+            "Write a replay bundle PREFIX.bundle, plus PREFIX.trace and \
+             PREFIX.dot, for each reported failure (default PREFIX: \
+             ntcheck-failure).")
   in
   let replay_file =
     Arg.(
@@ -313,7 +313,7 @@ let cmd =
             "Durability sweep: record each scenario's serve into a \
              write-ahead log, simulate a kill -9 at every record boundary \
              (plus torn and bit-flipped variants), recover each damaged \
-             image and re-judge the resumed run under all four oracles.  \
+             image and re-judge the resumed run under every oracle.  \
              Failures shrink under the same sweep and save bundles \
              carrying the serving seed.")
   in

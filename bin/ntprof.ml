@@ -132,7 +132,7 @@ let cmd =
       & pos_all file []
       & info [] ~docv:"FILE"
           ~doc:
-            "JSONL telemetry trace(s) from ntsim/ntstress --obs-format \
+            "JSONL telemetry trace(s) from ntsim/ntcheck --obs-format \
              jsonl, or flight-recorder dump(s) from ntserved.  Multiple \
              files are merged into one report.")
   in

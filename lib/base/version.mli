@@ -1,7 +1,7 @@
 (** The one shared version of the toolchain.
 
-    Every CLI ([ntsim], [ntstress], [ntcheck], [ntprof], [ntserved],
-    [ntload]) reports this string for [--version], so a bug report's
+    Every CLI ([ntsim], [ntcheck], [ntprof], [ntserved], [ntload],
+    [nttop], [ntwal]) reports this string for [--version], so a bug report's
     version pins the whole toolchain, not one binary. *)
 
 val string : string

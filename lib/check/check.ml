@@ -192,6 +192,8 @@ type failure =
   | One_copy of string
   | Durability of string
   | Essn_rejected of string
+  | Lemma_violated of string
+  | Monitor_alarm of string
 
 let failure_tag = function
   | Ill_formed _ -> "ill-formed"
@@ -202,6 +204,8 @@ let failure_tag = function
   | One_copy _ -> "one-copy"
   | Durability _ -> "durability"
   | Essn_rejected _ -> "essn"
+  | Lemma_violated _ -> "lemma"
+  | Monitor_alarm _ -> "monitor"
 
 let pp_failure f fl =
   match fl with
@@ -216,6 +220,8 @@ let pp_failure f fl =
   | One_copy s -> Format.fprintf f "one-copy violation: %s" s
   | Durability s -> Format.fprintf f "durability violation: %s" s
   | Essn_rejected s -> Format.fprintf f "essn criterion rejected: %s" s
+  | Lemma_violated s -> Format.fprintf f "protocol lemma violated: %s" s
+  | Monitor_alarm s -> Format.fprintf f "online monitor: %s" s
 
 type outcome = {
   trace : Trace.t;
@@ -375,66 +381,185 @@ let judge backend (schema : Schema.t) (r : Runtime.result) forest =
             | Some order -> differential schema order r forest
             | None -> Some (Not_correct "acyclic but no witness order")))
 
+(* ----- SG oracle equivalence ----- *)
+
+type sg_agreement = {
+  checker_acyclic : bool;  (* O(1) incremental verdict on Sg.build *)
+  monitor_acyclic : bool;  (* online incremental detector *)
+  scratch_acyclic : bool;  (* from-scratch three-color DFS *)
+  cycle_alarms : int;
+  inappropriate_alarms : int;
+}
+
+(* Run the SG acyclicity oracle three ways over one behavior: the
+   batch checker (incremental verdict over [Sg.build]), the online
+   monitor (incremental detection per feed), and the pre-incremental
+   reference ([Graph.find_cycle_scratch]).  The three must agree —
+   this is the cross-implementation oracle the differential tests and
+   the monitor oracle pin.  Also returns the fed monitor and its
+   alarms. *)
+let monitored ?(mode = Sg.Operation_level) (schema : Schema.t) trace =
+  let beta = Trace.serial trace in
+  let g = Sg.build mode schema beta in
+  let m = Monitor.create ~mode schema in
+  let alarms = Monitor.feed_trace m trace in
+  let cycle_alarms, inappropriate_alarms =
+    List.fold_left
+      (fun (c, i) (_, a) ->
+        match a with
+        | Monitor.Cycle _ -> (c + 1, i)
+        | Monitor.Inappropriate _ -> (c, i + 1))
+      (0, 0) alarms
+  in
+  ( {
+      checker_acyclic = Graph.is_acyclic g;
+      monitor_acyclic = cycle_alarms = 0;
+      scratch_acyclic = Graph.find_cycle_scratch g = None;
+      cycle_alarms;
+      inappropriate_alarms;
+    },
+    m,
+    alarms )
+
+let sg_agreement ?mode schema trace =
+  let a, _, _ = monitored ?mode schema trace in
+  a
+
+let sg_agrees a =
+  a.checker_acyclic = a.monitor_acyclic
+  && a.checker_acyclic = a.scratch_acyclic
+
+(* ----- protocol lemmas and the online monitor ----- *)
+
+(* Lemma oracle: every object's projection must replay through the
+   protocol's pure transitions as a valid schedule and satisfy the
+   protocol's invariants — Moss Lemmas 9/10/12-13 ([M1_X]) or undo
+   Lemmas 20/22 ([U_X]).  [Replication] runs under undo logging, so it
+   is judged as [Undo] on its physical schema; the other backends make
+   no per-object lemma claim. *)
+let lemmas backend (schema : Schema.t) trace =
+  let check project replay invariants =
+    List.find_map
+      (fun x ->
+        let proj = project schema x trace in
+        let fail what =
+          Some (Lemma_violated (Format.sprintf "%s at %s" what (Obj_id.name x)))
+        in
+        match replay schema x proj with
+        | Error e -> fail ("projection does not replay (" ^ e ^ ")")
+        | Ok _ ->
+            List.find_map
+              (fun (name, holds) ->
+                if holds schema x proj then None else fail name)
+              invariants)
+      schema.Schema.objects
+  in
+  match backend with
+  | Moss ->
+      Nt_moss.Moss_invariants.(
+        check project replay
+          [ ("Lemma 9", lemma9); ("Lemma 10", lemma10);
+            ("Lemma 12/13", lemma12_13) ])
+  | Undo | Replication ->
+      Nt_undo.Undo_invariants.(
+        check project replay [ ("Lemma 20", lemma20); ("Lemma 22", lemma22) ])
+  | _ -> None
+
+(* Monitor oracle: fed the whole behavior, the online monitor must
+   raise no alarm, agree with the batch and from-scratch SG verdicts,
+   and still hold a witness sibling order.  Multiversion behaviors
+   serialize by pseudotime, where the completion-order SG may be
+   cyclic, so [Mvts] is exempt. *)
+let monitor_oracle backend schema trace =
+  match backend with
+  | Mvts -> None
+  | _ -> (
+      let a, m, alarms = monitored schema trace in
+      let fail s = Some (Monitor_alarm s) in
+      match alarms with
+      | (i, Monitor.Cycle c) :: _ ->
+          fail
+            (Format.sprintf "event %d closed a cycle %s" i
+               (String.concat " -> " (List.map Txn_id.to_string c)))
+      | (i, Monitor.Inappropriate x) :: _ ->
+          fail
+            (Format.sprintf "event %d made %s's returns impossible" i
+               (Obj_id.name x))
+      | [] when not (sg_agrees a) ->
+          fail
+            (Format.sprintf "SG verdicts disagree (checker %b, scratch %b)"
+               a.checker_acyclic a.scratch_acyclic)
+      | [] when Monitor.witness_order m = None ->
+          fail "no alarm, but no witness order"
+      | [] -> None)
+
 let replication_config =
   { Nt_replication.Replication.n_replicas = 3; read_quorum = 2; write_quorum = 2 }
 
+(* Judge a finished run of any harness: the four oracles; then, for
+   replication, the one-copy claim, made only when [whole] says the
+   run's quorums completed (the caller folds in its own abort sources)
+   and no deadlock or injected abort cut one short; then the lemma and
+   monitor oracles, unless [four_only].  [Replication] is judged as
+   [Undo], the protocol it physically runs. *)
+let run_failure ?(four_only = false) backend ~plan ~whole schema
+    (r : Runtime.result) forest =
+  if r.Runtime.stats.truncated then None
+  else
+    let judged_as = match backend with Replication -> Undo | b -> b in
+    let one_copy () =
+      match plan with
+      | Some plan
+        when whole
+             && r.Runtime.stats.deadlock_aborts = 0
+             && r.Runtime.stats.injected_aborts = 0 -> (
+          match
+            Nt_replication.Replication.check_one_copy plan r.Runtime.trace
+          with
+          | Ok () -> None
+          | Error v ->
+              Some
+                (One_copy
+                   (Format.asprintf "%a"
+                      Nt_replication.Replication.pp_violation v)))
+      | _ -> None
+    in
+    List.find_map
+      (fun oracle -> oracle ())
+      ([ (fun () -> judge judged_as schema r forest); one_copy ]
+      @
+      if four_only then []
+      else
+        [
+          (fun () -> lemmas judged_as schema r.Runtime.trace);
+          (fun () -> monitor_oracle judged_as schema r.Runtime.trace);
+        ])
+
 let run_scenario ?(obs = Obs.null) ?(max_steps = 200_000) backend sc =
-  match backend with
-  | Replication ->
-      let plan =
-        Nt_replication.Replication.replicate replication_config
-          ~objects:(List.map fst sc.objects) sc.forest
-      in
-      let schema = plan.Nt_replication.Replication.physical_schema in
-      let forest = plan.Nt_replication.Replication.physical_forest in
-      let r =
-        Runtime.run ~policy:sc.policy ~inform_policy:sc.inform_policy
-          ~abort_prob:sc.abort_prob ~max_steps ~obs ~seed:sc.sched_seed schema
-          (factory_of backend) forest
-      in
-      if r.Runtime.stats.truncated then
-        { trace = r.Runtime.trace; truncated = true; failure = None }
-      else
-        let failure =
-          match judge Undo schema r forest with
-          | Some f -> Some f
-          | None ->
-              (* Deadlock victims and injected faults can abort replica
-                 subtransactions mid-quorum; the one-copy claim is only
-                 made for runs whose quorums completed (as in the E11
-                 setup), so those runs are judged on serializability
-                 alone. *)
-              if
-                r.Runtime.stats.deadlock_aborts > 0
-                || r.Runtime.stats.injected_aborts > 0
-              then None
-              else (
-                match
-                  Nt_replication.Replication.check_one_copy plan r.Runtime.trace
-                with
-                | Ok () -> None
-                | Error v ->
-                    Some
-                      (One_copy
-                         (Format.asprintf "%a"
-                            Nt_replication.Replication.pp_violation v)))
+  let schema, forest, plan =
+    match backend with
+    | Replication ->
+        let plan =
+          Nt_replication.Replication.replicate replication_config
+            ~objects:(List.map fst sc.objects) sc.forest
         in
-        { trace = r.Runtime.trace; truncated = false; failure }
-  | _ ->
-      let schema = schema_of_scenario sc in
-      let r =
-        Runtime.run ~policy:sc.policy ~inform_policy:sc.inform_policy
-          ~abort_prob:sc.abort_prob ~max_steps ~obs ~seed:sc.sched_seed schema
-          (factory_of backend) sc.forest
-      in
-      if r.Runtime.stats.truncated then
-        { trace = r.Runtime.trace; truncated = true; failure = None }
-      else
-        {
-          trace = r.Runtime.trace;
-          truncated = false;
-          failure = judge backend schema r sc.forest;
-        }
+        ( plan.Nt_replication.Replication.physical_schema,
+          plan.Nt_replication.Replication.physical_forest,
+          Some plan )
+    | _ -> (schema_of_scenario sc, sc.forest, None)
+  in
+  let r =
+    Runtime.run ~policy:sc.policy ~inform_policy:sc.inform_policy
+      ~abort_prob:sc.abort_prob ~max_steps ~obs ~seed:sc.sched_seed schema
+      (factory_of backend) forest
+  in
+  (* Every quorum of a closed-loop run completes unless a deadlock
+     victim or an injected fault cut it short (as in the E11 setup). *)
+  {
+    trace = r.Runtime.trace;
+    truncated = r.Runtime.stats.truncated;
+    failure = run_failure backend ~plan ~whole:true schema r forest;
+  }
 
 (* ----- in-process serving harness ----- *)
 
@@ -529,33 +654,6 @@ let drive ~rng ~drop_prob ~submit ~step ~kill ?(after_turn = ignore) ~stop
     if stop !last ~all_submitted:(!pending = []) then continue := false
   done;
   !dropped
-
-(* Judge a served run: the four oracles, then — for replication — the
-   one-copy claim, made only when [whole] says the run's quorums
-   completed (the caller folds in its own abort sources) and no
-   deadlock or injected abort cut one short. *)
-let served_failure backend ~plan ~whole schema (r : Runtime.result) forest =
-  if r.Runtime.stats.truncated then None
-  else
-    let judged_as = match backend with Replication -> Undo | b -> b in
-    match judge judged_as schema r forest with
-    | Some f -> Some f
-    | None -> (
-        match plan with
-        | Some plan
-          when whole
-               && r.Runtime.stats.deadlock_aborts = 0
-               && r.Runtime.stats.injected_aborts = 0 -> (
-            match
-              Nt_replication.Replication.check_one_copy plan r.Runtime.trace
-            with
-            | Ok () -> None
-            | Error v ->
-                Some
-                  (One_copy
-                     (Format.asprintf "%a"
-                        Nt_replication.Replication.pp_violation v)))
-        | _ -> None)
 
 type recorded = {
   rc_wal : string;
@@ -677,7 +775,7 @@ let record ?(obs = Obs.null) ?(max_steps = 200_000) ?(drop_prob = 0.0)
     (* As in [run_scenario]: drops and vetoes abort replica
        subtransactions mid-quorum, so such runs judge on
        serializability alone. *)
-    served_failure backend ~plan
+    run_failure backend ~plan
       ~whole:
         (Nt_net.Engine.orphan_aborts eng = 0 && Nt_net.Engine.vetoed eng = 0)
       schema r forest
@@ -783,8 +881,10 @@ let serve_sharded ?(max_steps = 200_000) ?(drop_prob = 0.0) ?(gating = true)
     (* One-copy is only claimed when every replicated program stayed
        whole on one shard: a split program's merged forest node is a
        [Par] of pieces, so the plan's position map no longer describes
-       it. *)
-    served_failure backend ~plan
+       it.  The merged history of a cross-shard run can fail the lemma
+       and monitor oracles while passing the four (see
+       doc/sharding.mld), so sharded runs are judged by the four. *)
+    run_failure ~four_only:true backend ~plan
       ~whole:(cross = 0 && orphans = 0 && Nt_shard.Cluster.vetoed cl = 0)
       schema r forest
   in
@@ -829,7 +929,7 @@ let crash_seed_of sc = sc.sched_seed lxor 0x2C5A11
    a torn tail), refuse a foreign [Meta], replay the intact event
    prefix, then demand prefix closure — every audited outcome in the
    prefix reproduced exactly — before resuming (drain) and judging the
-   completed behavior with the same four oracles as any served run.
+   completed behavior with the same oracles as any served run.
    Returns the replayed engine so callers can compare recoveries. *)
 let recover_image ?(max_steps = 200_000) ?(admission = true) ~expect_meta
     ~counts backend sc img =
@@ -944,20 +1044,15 @@ let crash ?(max_steps = 200_000) ?(drop_prob = 0.15) ?snapshot_at ?seed
   let faild where msg = fail where (Durability msg) in
   (* Judge a recovered engine as a complete run: resume (drain to
      quiescence — the remaining pre-crash submissions never arrive)
-     and apply the four oracles.  One-copy is not claimed for
-     recovered [Replication] runs: the crash orphans in-flight
-     quorums by construction. *)
+     and apply every oracle.  One-copy is not claimed for recovered
+     [Replication] runs: the crash orphans in-flight quorums by
+     construction. *)
   let judge_recovered where eng =
     ignore (Nt_net.Engine.drain eng);
     let r = Nt_net.Engine.finish eng in
-    if not r.Runtime.stats.truncated then begin
-      let judged_as = match backend with Replication -> Undo | b -> b in
-      match
-        judge judged_as (Nt_net.Engine.schema eng) r (Nt_net.Engine.forest eng)
-      with
-      | Some f -> fail where f
-      | None -> ()
-    end
+    Option.iter (fail where)
+      (run_failure backend ~plan:None ~whole:false
+         (Nt_net.Engine.schema eng) r (Nt_net.Engine.forest eng))
   in
   let recover_and_judge ~where ?expect_valid img =
     incr recoveries;
@@ -1044,7 +1139,7 @@ let crash ?(max_steps = 200_000) ?(drop_prob = 0.15) ?snapshot_at ?seed
          corrupted sector.  Every damaged image must be rejected by
          [decode_snapshot], after which recovery falls back to the
          previous window — here, the full log, which must still
-         recover and pass the four oracles. *)
+         recover and pass every oracle. *)
       let slen = String.length simg in
       let check_damaged where img =
         if !failure = None then
@@ -1096,48 +1191,6 @@ let crash_outcome rep =
           Some (Durability (Format.asprintf "%s: %a" where pp_failure f)));
   }
 
-(* ----- SG oracle equivalence ----- *)
-
-type sg_agreement = {
-  checker_acyclic : bool;  (* O(1) incremental verdict on Sg.build *)
-  monitor_acyclic : bool;  (* online incremental detector *)
-  scratch_acyclic : bool;  (* from-scratch three-color DFS *)
-  cycle_alarms : int;
-  inappropriate_alarms : int;
-}
-
-(* Run the SG acyclicity oracle three ways over one behavior: the
-   batch checker (incremental verdict over [Sg.build]), the online
-   monitor (incremental detection per feed), and the pre-incremental
-   reference ([Graph.find_cycle_scratch]).  The three must agree —
-   this is the cross-implementation oracle the differential tests and
-   ntcheck sweeps pin. *)
-let sg_agreement ?mode (schema : Schema.t) trace =
-  let mode = match mode with Some m -> m | None -> Sg.Operation_level in
-  let beta = Trace.serial trace in
-  let g = Sg.build mode schema beta in
-  let m = Nt_sg.Monitor.create ~mode schema in
-  let alarms = Nt_sg.Monitor.feed_trace m trace in
-  let cycle_alarms, inappropriate_alarms =
-    List.fold_left
-      (fun (c, i) (_, a) ->
-        match a with
-        | Nt_sg.Monitor.Cycle _ -> (c + 1, i)
-        | Nt_sg.Monitor.Inappropriate _ -> (c, i + 1))
-      (0, 0) alarms
-  in
-  {
-    checker_acyclic = Graph.is_acyclic g;
-    monitor_acyclic = cycle_alarms = 0;
-    scratch_acyclic = Graph.find_cycle_scratch g = None;
-    cycle_alarms;
-    inappropriate_alarms;
-  }
-
-let sg_agrees a =
-  a.checker_acyclic = a.monitor_acyclic
-  && a.checker_acyclic = a.scratch_acyclic
-
 (* ----- campaigns ----- *)
 
 type report = {
@@ -1147,11 +1200,17 @@ type report = {
   failures : (int * scenario * failure) list;
 }
 
-let campaign ?(obs = Obs.null) ?max_steps ?grammar ?shape
-    ?(stop_at_first = true) backend ~seed ~runs =
+(* One seeded sweep: run [i] draws its scenario from the [i]-th split
+   of the master generator (so it does not depend on how earlier runs
+   consumed entropy) and hands it to [subject]; counters and failure
+   instants are named under [prefix]. *)
+let sweep ~obs ~prefix ~subject ?grammar ?shape ~stop_at_first backend ~seed
+    ~runs =
   let master = Rng.create seed in
-  let bump name =
-    if Obs.enabled obs then Metrics.incr (Metrics.counter (Obs.metrics obs) name)
+  let name s = prefix ^ "." ^ s in
+  let bump s =
+    if Obs.enabled obs then
+      Metrics.incr (Metrics.counter (Obs.metrics obs) (name s))
   in
   let passed = ref 0 and truncations = ref 0 and failures = ref [] in
   let executed = ref 0 in
@@ -1160,17 +1219,17 @@ let campaign ?(obs = Obs.null) ?max_steps ?grammar ?shape
        let rng = Rng.split master in
        let sc = gen_scenario ?grammar ?shape backend rng in
        incr executed;
-       bump "check.runs";
-       let o = run_scenario ~obs ?max_steps backend sc in
+       bump "runs";
+       let o = subject sc in
        if o.truncated then incr truncations;
        match o.failure with
        | None ->
            incr passed;
-           bump "check.pass"
+           bump "pass"
        | Some f ->
-           bump "check.fail";
-           bump ("check.fail." ^ failure_tag f);
-           Obs.instant obs ("check.fail." ^ failure_tag f);
+           bump "fail";
+           bump ("fail." ^ failure_tag f);
+           Obs.instant obs (name ("fail." ^ failure_tag f));
            failures := (i, sc, f) :: !failures;
            if stop_at_first then raise Exit
      done
@@ -1178,13 +1237,13 @@ let campaign ?(obs = Obs.null) ?max_steps ?grammar ?shape
   (* Final counter samples so a streamed trace (ntprof) carries the
      campaign totals, not just the in-process registry. *)
   if Obs.enabled obs then begin
-    let sample name =
-      Obs.counter_sample obs name
-        (Metrics.counter_value (Metrics.counter (Obs.metrics obs) name))
+    let sample s =
+      Obs.counter_sample obs (name s)
+        (Metrics.counter_value (Metrics.counter (Obs.metrics obs) (name s)))
     in
-    sample "check.runs";
-    sample "check.pass";
-    if !failures <> [] then sample "check.fail"
+    sample "runs";
+    sample "pass";
+    if !failures <> [] then sample "fail"
   end;
   {
     runs = !executed;
@@ -1193,38 +1252,13 @@ let campaign ?(obs = Obs.null) ?max_steps ?grammar ?shape
     failures = List.rev !failures;
   }
 
+let campaign ?(obs = Obs.null) ?max_steps ?grammar ?shape
+    ?(stop_at_first = true) backend ~seed ~runs =
+  sweep ~obs ~prefix:"check" ?grammar ?shape ~stop_at_first backend ~seed
+    ~runs ~subject:(run_scenario ~obs ?max_steps backend)
+
 let crash_campaign ?(obs = Obs.null) ?max_steps ?grammar ?shape ?drop_prob
     ?(snapshot_at = 8) ?(stop_at_first = true) backend ~seed ~runs =
-  let master = Rng.create seed in
-  let bump name =
-    if Obs.enabled obs then Metrics.incr (Metrics.counter (Obs.metrics obs) name)
-  in
-  let passed = ref 0 and truncations = ref 0 and failures = ref [] in
-  let executed = ref 0 in
-  (try
-     for i = 0 to runs - 1 do
-       let rng = Rng.split master in
-       let sc = gen_scenario ?grammar ?shape backend rng in
-       incr executed;
-       bump "check.crash.runs";
-       let rep = crash ?max_steps ?drop_prob ~snapshot_at backend sc in
-       let o = crash_outcome rep in
-       if o.truncated then incr truncations;
-       match o.failure with
-       | None ->
-           incr passed;
-           bump "check.crash.pass"
-       | Some f ->
-           bump "check.crash.fail";
-           bump ("check.crash.fail." ^ failure_tag f);
-           Obs.instant obs ("check.crash.fail." ^ failure_tag f);
-           failures := (i, sc, f) :: !failures;
-           if stop_at_first then raise Exit
-     done
-   with Exit -> ());
-  {
-    runs = !executed;
-    passed = !passed;
-    truncations = !truncations;
-    failures = List.rev !failures;
-  }
+  sweep ~obs ~prefix:"check.crash" ?grammar ?shape ~stop_at_first backend
+    ~seed ~runs ~subject:(fun sc ->
+      crash_outcome (crash ?max_steps ?drop_prob ~snapshot_at backend sc))

@@ -17,12 +17,19 @@
     + judges the resulting behavior with four oracles, in order:
       well-formedness ({!Nt_serial.Simple_db}), appropriate return
       values ({!Nt_sg.Return_values}), SG acyclicity / serial
-      correctness ({!Nt_sg.Checker}, or Theorem 2 with the pseudotime
-      order for the multiversion backend), and {e differential
-      agreement}: every committed top-level transaction's reported
-      value, and every final object state, must equal what the serial
-      reference executor produces when replaying the committed part
-      of the forest in the checker's witness order.
+      correctness ({!Nt_sg.Checker}, or the {!Nt_sg.Essn} criterion
+      for the multiversion backend), and {e differential agreement}:
+      every committed top-level transaction's reported value, and
+      every final object state, must equal what the serial reference
+      executor produces when replaying the committed part of the
+      forest in the checker's witness order;
+    + then (after replication's one-copy claim) with two more: the
+      {e lemma} oracle ({!lemmas}: each object's projection replays as
+      a valid [M1_X] / [U_X] schedule satisfying the protocol's
+      lemmas) and the {e monitor} oracle (the online
+      {!Nt_sg.Monitor} raises no alarm and yields a witness order).
+      Coming last, they never change the tag of a failure the first
+      four catch.
 
     Failures carry the complete scenario, so {!Nt_check.Shrink} can
     minimize them and {!Nt_check.Bundle} can persist them for exact
@@ -162,6 +169,14 @@ type failure =
           behavior: neither the pseudotime order nor the completion
           witness certifies it (message carries the per-candidate
           failures and the anomaly classification). *)
+  | Lemma_violated of string
+      (** An object's projection does not replay as a valid schedule
+          of the protocol's object automaton, or breaks one of its
+          lemmas (see {!lemmas}). *)
+  | Monitor_alarm of string
+      (** The online {!Nt_sg.Monitor}, fed the whole behavior, raised
+          an alarm, disagreed with the batch SG verdict, or held no
+          witness order (every backend but [Mvts]). *)
 
 val failure_tag : failure -> string
 (** A short stable tag (["sg-cycle"], ["returns"], ["differential"],
@@ -174,6 +189,14 @@ type outcome = {
   truncated : bool;  (** Run hit [max_steps]; oracles were skipped. *)
   failure : failure option;
 }
+
+val lemmas : backend -> Schema.t -> Trace.t -> failure option
+(** The lemma oracle on its own.  For [Moss], every object's
+    projection must replay through {!Nt_moss.Moss_invariants.replay}
+    and satisfy Lemmas 9, 10 and 12/13; for [Undo] and [Replication]
+    (over the physical schema), {!Nt_undo.Undo_invariants.replay} and
+    Lemmas 20 and 22.  Other backends make no per-object claim
+    ([None]).  The first violation found, if any. *)
 
 val replication_config : Nt_replication.Replication.config
 (** The quorum configuration the [Replication] backend runs under
@@ -195,9 +218,9 @@ val run_scenario :
     mid-transaction (their transactions are orphan-killed, as
     [ntserved] does on a dropped connection), and the admission
     controller gates commits online.  The final trace is judged by the
-    same four oracles — served executions are still generic-system
-    behaviors, so everything proved about [run_scenario] outcomes
-    applies. *)
+    same oracles, lemma and monitor included — served executions are
+    still generic-system behaviors, so everything proved about
+    [run_scenario] outcomes applies. *)
 
 type serve_report = {
   s_trace : Trace.t;
@@ -242,10 +265,12 @@ val serve :
     the {!Nt_shard.Spine} — stepped deterministically, one shard at a
     time, by a single splittable [Rng].  The merged history (stamp-
     sorted union of the shards' traces plus the router's synthetic
-    cross-program nodes) is judged offline by the same four oracles,
-    which is the differential claim of [doc/sharding.mld]: for the
-    verified backends the sharded gate must fail exactly when the
-    single-shard gate does, at failure-tag granularity. *)
+    cross-program nodes) is judged offline by the four oracles, which
+    is the differential claim of [doc/sharding.mld]: for the verified
+    backends the sharded gate must fail exactly when the single-shard
+    gate does, at failure-tag granularity.  The lemma and monitor
+    oracles are not applied: merged cross-shard histories fail them
+    (see the relaxation paragraph of [doc/sharding.mld]). *)
 
 type sharded_report = {
   sh_report : serve_report;
@@ -294,7 +319,7 @@ val serve_sharded :
     (plus torn and bit-flipped variants) and proves each recovery: the
     scan diagnoses the damage, {!Nt_net.Engine.recover} replays the
     intact prefix, every audited outcome is reproduced, and the
-    resumed run still passes all four oracles. *)
+    resumed run still passes every oracle. *)
 
 type recorded = {
   rc_wal : string;  (** The complete log image (header included). *)
@@ -355,7 +380,7 @@ val crash :
     cut at {e every} record boundary, a torn cut inside every record,
     a bit flip inside every third record, a cut before and inside the
     file header — each followed by a full recovery (scan, replay,
-    prefix-closure outcome check, drain, four oracles).  When a
+    prefix-closure outcome check, drain, every oracle).  When a
     snapshot was taken, also recovers snapshot + tail, demands it
     agree with the full-log replay, and verifies a corrupted snapshot
     is rejected.  Stops at the first failing kill point.
@@ -384,7 +409,7 @@ type sg_agreement = {
 val sg_agreement : ?mode:Nt_sg.Sg.conflict_mode -> Schema.t -> Trace.t -> sg_agreement
 (** Decide SG acyclicity of one behavior three independent ways —
     incremental batch, incremental online, from-scratch DFS — for the
-    differential oracle-equivalence tests and ntcheck sweeps.  The
+    differential oracle-equivalence tests and the monitor oracle.  The
     default mode is [Operation_level], matching {!Nt_sg.Checker}. *)
 
 val sg_agrees : sg_agreement -> bool

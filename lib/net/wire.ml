@@ -124,7 +124,7 @@ let empty_hist =
 
 (* One shard's counters, carried in Telemetry and Quiesced answers
    when the server runs sharded ([shards > 1] in its Welcome); empty
-   on single-engine servers and pre-v5 peers. *)
+   on single-engine servers. *)
 type shard_row = {
   r_shard : int;
   r_submitted : int;
@@ -451,27 +451,21 @@ let request_of_json j =
   | "shutdown" -> Ok Shutdown
   | other -> Error (Printf.sprintf "unknown request type %S" other)
 
-(* Absent on pre-durability servers: default [Fresh]. *)
 let status_of_json j =
-  match Json.member "status" j with
-  | None -> Ok Fresh
-  | Some v -> (
-      match Json.to_str_opt v with
-      | None -> Error "field \"status\": expected a string"
-      | Some "fresh" -> Ok Fresh
-      | Some "recovering" ->
-          let* replayed = int_field "replayed" j in
-          let* total = int_field "total" j in
-          Ok (Recovering { replayed; total })
-      | Some "recovered" ->
-          let* replayed = int_field "replayed" j in
-          let torn =
-            match Json.member "torn" j with
-            | Some (Json.Bool b) -> b
-            | _ -> false
-          in
-          Ok (Recovered { replayed; torn })
-      | Some other -> Error (Printf.sprintf "unknown server status %S" other))
+  let* st = str_field "status" j in
+  match st with
+  | "fresh" -> Ok Fresh
+  | "recovering" ->
+      let* replayed = int_field "replayed" j in
+      let* total = int_field "total" j in
+      Ok (Recovering { replayed; total })
+  | "recovered" -> (
+      let* replayed = int_field "replayed" j in
+      match Json.member "torn" j with
+      | Some (Json.Bool torn) -> Ok (Recovered { replayed; torn })
+      | Some _ -> Error "field \"torn\": expected a boolean"
+      | None -> Error "missing field \"torn\"")
+  | other -> Error (Printf.sprintf "unknown server status %S" other)
 
 let state_of_json j =
   let* st = str_field "state" j in
@@ -522,7 +516,7 @@ let hist_of_json j =
   in
   Ok { h_count; h_sum; h_min; h_max; h_p50; h_p99; h_p999; h_buckets }
 
-(* Absent on single-engine servers and pre-v5 peers: default []. *)
+(* Absent on single-engine servers: default []. *)
 let per_shard_of_json j =
   match Json.member "shards" j with
   | None -> Ok []
@@ -652,12 +646,7 @@ let response_of_json j =
         | None -> Error "missing field \"objects\""
       in
       let* status = status_of_json j in
-      (* Absent on pre-v5 servers: a single engine. *)
-      let shards =
-        match Json.member "shards" j with
-        | Some v -> Option.value ~default:1 (Json.to_int_opt v)
-        | None -> 1
-      in
+      let* shards = int_field "shards" j in
       Ok (Welcome { server; version; backend; status; objects; shards })
   | "accepted" ->
       let* t = txn_field "txn" j in

@@ -113,9 +113,9 @@ type server_status =
           [replayed]/[total] count replay events. *)
   | Recovered of { replayed : int; torn : bool }
       (** Replay complete and validated; [torn] records whether the log
-          ended mid-record (the truncated tail was discarded).  Absent
-          on the wire from pre-durability servers — decoders default to
-          [Fresh]. *)
+          ended mid-record (the truncated tail was discarded).  The
+          [status] field (and [torn], for [Recovered]) is required on
+          the wire. *)
 
 type hist = {
   h_count : int;
@@ -145,8 +145,7 @@ type shard_row = {
 }
 (** One shard's counters, carried in {!type:telemetry} and
     [Quiesced] answers when the server runs sharded ([shards > 1] in
-    its [Welcome]); empty on single-engine servers and pre-v5
-    peers. *)
+    its [Welcome]); empty on single-engine servers. *)
 
 type telemetry = {
   seq : int;  (** Monotonically increasing per server. *)
@@ -202,8 +201,7 @@ type response =
               well-typed programs. *)
       shards : int;
           (** Worker domains serving the object table; 1 on
-              single-engine servers (and assumed 1 when absent from a
-              pre-v5 peer's welcome). *)
+              single-engine servers.  Required on the wire. *)
     }
   | Accepted of { txn : Txn_id.t; req : string option }
       (** The name under which the program runs, echoing the

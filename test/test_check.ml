@@ -350,11 +350,72 @@ let t_family_recorded_and_preserved () =
             (b.Bundle.scenario.Check.family = Some expect))
     [ (Check.Rw, "rw"); (Check.Smallbank, "smallbank") ]
 
-(* The essn failure class has a stable tag for bundles and logs. *)
+(* The essn, lemma and monitor failure classes have stable tags for
+   bundles and logs. *)
 let t_essn_failure_tag () =
-  Alcotest.(check string)
-    "essn tag" "essn"
-    (Check.failure_tag (Check.Essn_rejected "stale read"))
+  List.iter
+    (fun (tag, f) ->
+      Alcotest.(check string) (tag ^ " tag") tag (Check.failure_tag f))
+    [
+      ("essn", Check.Essn_rejected "stale read");
+      ("lemma", Check.Lemma_violated "Lemma 9 at x");
+      ("monitor", Check.Monitor_alarm "event 3 closed a cycle");
+    ]
+
+(* Negative control for the lemma oracle: two unrelated writers of [x]
+   both respond before either commits.  The behavior is well-formed,
+   serially correct (either order explains two blind writes), its
+   final state is the serial one and the online monitor stays silent —
+   yet it is no [M1_X] schedule: Moss grants the second write lock only
+   after the first holder's lock reaches a common ancestor. *)
+let t_lemma_negative_control () =
+  let t1 = txn [ 0 ] and t2 = txn [ 1 ] in
+  let forest =
+    [
+      Program.access x0 (Datatype.Write (Value.Int 1));
+      Program.access x0 (Datatype.Write (Value.Int 2));
+    ]
+  in
+  let schema =
+    Program.schema_of ~objects:[ (x0, Register.make ()) ] forest
+  in
+  let trace =
+    trace_of
+      [
+        open_txn t1;
+        open_txn t2;
+        [ Action.Request_commit (t1, Value.Ok);
+          Action.Request_commit (t2, Value.Ok) ];
+        [ Action.Commit t1; Action.Report_commit (t1, Value.Ok) ];
+        [ Action.Commit t2; Action.Report_commit (t2, Value.Ok) ];
+      ]
+  in
+  check_bool "well-formed" true
+    (Simple_db.is_well_formed schema.Schema.sys trace);
+  let v = Checker.check schema trace in
+  check_bool "appropriate, acyclic, serially correct" true
+    (v.Checker.appropriate && v.Checker.acyclic && v.Checker.serially_correct);
+  check_bool "final state is the serial one" true
+    (List.for_all
+       (fun (x, s) -> Obj_id.equal x x0 && Value.equal s (Value.Int 2))
+       (Serial_exec.final_states schema trace));
+  let a = Check.sg_agreement schema trace in
+  check_bool "monitor silent" true
+    (Check.sg_agrees a && a.Check.cycle_alarms = 0
+    && a.Check.inappropriate_alarms = 0);
+  List.iter
+    (fun backend ->
+      match Check.lemmas backend schema trace with
+      | Some f ->
+          Alcotest.(check string)
+            (Check.backend_name backend ^ " fails with tag lemma")
+            "lemma" (Check.failure_tag f)
+      | None ->
+          Alcotest.failf "%s: lemma oracle accepted two overlapping writers"
+            (Check.backend_name backend))
+    [ Check.Moss; Check.Undo ];
+  check_bool "no lemma claim for commlock" true
+    (Check.lemmas Check.Commlock schema trace = None)
 
 (* The weak adversaries only claim to support read/write registers;
    the generator must respect that whatever the requested grammar. *)
@@ -402,6 +463,8 @@ let suite =
       Alcotest.test_case "workload family recorded and preserved" `Quick
         t_family_recorded_and_preserved;
       Alcotest.test_case "essn failure tag" `Quick t_essn_failure_tag;
+      Alcotest.test_case "lemma oracle negative control" `Quick
+        t_lemma_negative_control;
       Alcotest.test_case "weak backends are register-only" `Quick
         t_weak_backends_register_only;
     ] )

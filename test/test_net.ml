@@ -290,36 +290,43 @@ let t_wire_eof () =
           (Torn { buffered = 7; expected = Some 99 }))
        "99")
 
-(* Responses from a pre-durability server carry no status field; the
-   decoder must default to Fresh rather than reject the peer. *)
-let t_wire_status_compat () =
+(* Every v5 response carries its status field, and a Welcome its shard
+   count; a protocol-3 Welcome (neither field) must be refused with an
+   error naming the first missing field, not silently defaulted. *)
+let t_wire_fields_required () =
   let welcome =
     "{\"type\":\"welcome\",\"server\":\"old\",\"version\":\"0.9\",\
      \"protocol\":3,\"backend\":\"undo\",\"objects\":[]}"
   in
-  (match Wire.decode_response welcome with
-  | Ok (Wire.Welcome { status; _ }) ->
-      check_bool "status-less welcome defaults Fresh" true
-        (status = Wire.Fresh)
-  | Ok _ -> Alcotest.fail "decoded to a non-Welcome response"
-  | Error e -> Alcotest.failf "welcome rejected: %s" e);
-  let pong =
-    "{\"type\":\"pong\",\"t\":1.5,\"live\":2,\"doomed\":0,\"conns\":1}"
+  let refused what payload field =
+    match Wire.decode_response payload with
+    | Ok _ -> Alcotest.failf "%s decoded without %S" what field
+    | Error e ->
+        check_bool (what ^ " error names " ^ field) true
+          (Astring_like.contains e (Printf.sprintf "%S" field))
   in
-  (match Wire.decode_response pong with
-  | Ok (Wire.Pong { status; _ }) ->
-      check_bool "status-less pong defaults Fresh" true (status = Wire.Fresh)
-  | Ok _ -> Alcotest.fail "decoded to a non-Pong response"
-  | Error e -> Alcotest.failf "pong rejected: %s" e);
-  (match
-     Wire.decode_response
-       "{\"type\":\"pong\",\"t\":1.5,\"live\":2,\"doomed\":0,\"conns\":1,\
-        \"status\":\"warp\"}"
-   with
+  refused "protocol-3 welcome" welcome "status";
+  refused "status-less pong"
+    "{\"type\":\"pong\",\"t\":1.5,\"live\":2,\"doomed\":0,\"conns\":1}"
+    "status";
+  refused "torn-less recovered pong"
+    "{\"type\":\"pong\",\"t\":1.5,\"live\":2,\"doomed\":0,\"conns\":1,\
+     \"status\":\"recovered\",\"replayed\":3}"
+    "torn";
+  refused "shard-less welcome"
+    "{\"type\":\"welcome\",\"server\":\"old\",\"version\":\"0.9\",\
+     \"protocol\":5,\"backend\":\"undo\",\"objects\":[],\
+     \"status\":\"fresh\"}"
+    "shards";
+  match
+    Wire.decode_response
+      "{\"type\":\"pong\",\"t\":1.5,\"live\":2,\"doomed\":0,\"conns\":1,\
+       \"status\":\"warp\"}"
+  with
   | Error e ->
       check_bool "unknown status is named" true
         (Astring_like.contains e "warp")
-  | Ok _ -> Alcotest.fail "unknown status accepted")
+  | Ok _ -> Alcotest.fail "unknown status accepted"
 
 (* ----- telemetry frames ----- *)
 
@@ -781,7 +788,8 @@ let suite =
       Alcotest.test_case "wire reassembly" `Quick t_wire_reassembly;
       Alcotest.test_case "wire errors" `Quick t_wire_errors;
       Alcotest.test_case "wire eof diagnosis" `Quick t_wire_eof;
-      Alcotest.test_case "wire status back-compat" `Quick t_wire_status_compat;
+      Alcotest.test_case "wire status and shards required" `Quick
+        t_wire_fields_required;
       Alcotest.test_case "telemetry roundtrip" `Quick t_wire_telemetry_roundtrip;
       Alcotest.test_case "telemetry partial frames" `Quick
         t_wire_telemetry_partial_frames;

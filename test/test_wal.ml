@@ -4,7 +4,7 @@
    outcome-after-steps ordering invariant, snapshot compaction, the
    snapshot-plus-tail-equals-full-log property, replay idempotence,
    and the headline kill(-9) sweep — a simulated crash at every log
-   boundary, every recovery judged by all four oracles. *)
+   boundary, every recovery judged by every oracle. *)
 open Core
 open Util
 
@@ -411,7 +411,7 @@ let t_closure_bounded_on_record () =
 
 (* The headline sweep: simulated kill(-9) at every log boundary (plus
    torn and bit-flipped variants) across 200 seeded serve runs, every
-   recovery re-judged by the four oracles.  Zero failures expected on
+   recovery re-judged by every oracle.  Zero failures expected on
    verified backends. *)
 let t_crash_sweep () =
   let boundaries = ref 0 and recoveries = ref 0 and outcomes = ref 0 in
